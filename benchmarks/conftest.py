@@ -6,8 +6,10 @@ harness finishes in minutes on a laptop, but every module exposes its
 parameters at the top so the paper's full scale can be requested.
 
 Benchmarks print the regenerated rows/series to stdout (run pytest with
-``-s`` to see them) and write JSON records under ``benchmarks/results/`` so
-EXPERIMENTS.md can cite the measured numbers.
+``-s`` to see them) and write JSON records.  A plain test run writes them to
+the git-ignored ``benchmarks/out/``, so running the suite never rewrites
+tracked files with timing noise; ``pytest --write-results`` writes to the
+tracked ``benchmarks/results/`` that EXPERIMENTS.md cites.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+SCRATCH_RESULTS_DIR = Path(__file__).resolve().parent / "out"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(pytestconfig) -> Path:
+    target = RESULTS_DIR if pytestconfig.getoption("write_results") else SCRATCH_RESULTS_DIR
+    target.mkdir(parents=True, exist_ok=True)
+    return target
 
 
 def pytest_configure(config):

@@ -6,6 +6,7 @@ from .reporting import (
     ExperimentRecord,
     RuntimeTable,
     SeriesReport,
+    decision_table,
     phase_time_table,
     summarize_results,
 )
@@ -18,6 +19,7 @@ __all__ = [
     "ExperimentRecord",
     "RuntimeTable",
     "SeriesReport",
+    "decision_table",
     "phase_time_table",
     "summarize_results",
 ]

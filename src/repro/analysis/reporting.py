@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.results import MiningResult
+from ..patterns.overlap import DECISION_SITES, DECISION_STEPS
 
 PathLike = Union[str, Path]
 
@@ -150,4 +151,24 @@ def phase_time_table(
             f"  {span.name}: {len(span.children)} child span(s), "
             f"{child_total:.4f}s in children, {span.self_time():.4f}s self"
         )
+    return "\n".join(lines)
+
+
+def decision_table(counters: Mapping[str, float]) -> str:
+    """The ``mine --telemetry`` table of frequency-check decisions.
+
+    One row per step of the frequency check (``DECISION_STEPS``), one column
+    per site: ``support`` for Stage-I ``is_frequent`` calls and ``growth``
+    for Stage-II/III candidates.  ``counters`` is a registry's counter dump.
+    A greedy reject is the one decision that may be wrong, so its row says so.
+    """
+    widths = [26, 12, 12]
+    lines = ["Frequency decisions", "-" * sum(widths)]
+    lines.append("".join(c.ljust(w) for c, w in zip(("step",) + DECISION_SITES, widths)))
+    for step in DECISION_STEPS:
+        cells = [step] + [
+            str(int(counters.get(f"{site}.decided.{step}", 0))) for site in DECISION_SITES
+        ]
+        note = "  (may be wrong: greedy MIS is a lower bound)" if step == "greedy_reject" else ""
+        lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + note)
     return "\n".join(lines)

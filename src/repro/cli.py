@@ -33,7 +33,13 @@ from .core import CachePolicy, SpiderMine, SpiderMineConfig, mine_spiders
 from .datasets import generate_gid
 from .graph import GRAPH_BACKENDS, GraphView, io as graph_io
 from .lint.cli import add_lint_arguments, run_from_args as _run_lint_from_args
-from .obs import configure_logging, enable_metrics, enable_tracing, get_tracer
+from .obs import (
+    configure_logging,
+    enable_metrics,
+    enable_tracing,
+    get_registry,
+    get_tracer,
+)
 from .parallel import ExecutionPolicy
 
 
@@ -109,9 +115,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     )
     result = SpiderMine(graph, config).mine()
     if args.telemetry:
-        from .analysis import phase_time_table
+        from .analysis import decision_table, phase_time_table
 
         print(phase_time_table(result, spans=get_tracer().roots()))
+        print(decision_table(get_registry().snapshot()["counters"]))
     if result.cache_info is not None:
         status = result.cache_info["status"]
         run_id = result.cache_info.get("run_id", "")

@@ -36,7 +36,9 @@ from ..patterns.embedding import Embedding
 from ..patterns.overlap import (
     DEFAULT_EXACT_LIMIT,
     EmbeddingIndex,
+    decide_support,
     independent_set_size,
+    record_decision,
 )
 from ..patterns.pattern import Pattern
 from ..patterns.spider import Spider
@@ -133,6 +135,7 @@ def occurrence_support(
     occurrences: Sequence[Occurrence],
     measure: SupportMeasure,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
+    min_support: Optional[int] = None,
 ) -> int:
     """Support of a pattern given its distinct occurrences.
 
@@ -141,6 +144,12 @@ def occurrence_support(
     occurrences on the same vertices through different data edges are distinct
     edge-disjoint witnesses; an edgeless occurrence dedupes on its vertices).
     The conflict graph comes from the shared inverted-index overlap engine.
+
+    With ``min_support`` the value saturates: it is ``min_support`` whenever
+    the support reaches it, and below that it is an upper bound on the
+    support, so ``>= min_support`` is the exact frequency decision.  The
+    check stops at the first step that decides (distinct count, image bound,
+    σ-stopping MIS), counted as ``growth.decided.<step>`` with telemetry on.
     """
     edge_based = measure is SupportMeasure.EDGE_DISJOINT
     seen: Set[object] = set()
@@ -154,11 +163,38 @@ def occurrence_support(
             continue
         seen.add(key)
         items.append(occ)
-    if measure is SupportMeasure.EMBEDDING_IMAGES:
-        return len(items)
-    index = EmbeddingIndex.from_occurrences(items)
-    conflict = index.conflict_graph(edge_based=edge_based)
-    return independent_set_size(conflict, exact_limit)
+    if min_support is None:
+        if measure is SupportMeasure.EMBEDDING_IMAGES:
+            return len(items)
+        conflict = EmbeddingIndex.from_occurrences(items).conflict_graph(edge_based)
+        return independent_set_size(conflict, exact_limit)
+    if measure is SupportMeasure.EMBEDDING_IMAGES or len(items) < min_support:
+        record_decision("growth", "distinct_images")
+        return min(len(items), min_support)
+    bound = occurrence_image_bound(items, edge_based)
+    if bound < min_support:
+        record_decision("growth", "image_bound")
+        return bound
+    conflict = EmbeddingIndex.from_occurrences(items).conflict_graph(edge_based)
+    return decide_support(conflict, min_support, exact_limit, "growth")
+
+
+def occurrence_image_bound(occurrences: Sequence[Occurrence], edge_based: bool) -> int:
+    """Upper bound on the disjoint-occurrence MIS from the union of images.
+
+    Occurrences carry no pattern-vertex mapping, so the bound is the union
+    of their vertex sets divided by the smallest occurrence: pairwise
+    vertex-disjoint occurrences each use that many vertices of the union.
+    ``edge_based`` does the same with edge sets; an edgeless occurrence
+    conflicts with nothing, so then there is no bound beyond the count.
+    """
+    if not occurrences:
+        return 0
+    images = [o.edges if edge_based else o.vertices for o in occurrences]
+    smallest = min(map(len, images))
+    if smallest == 0:
+        return len(occurrences)
+    return len(frozenset().union(*images)) // smallest
 
 
 def occurrences_to_pattern(data_graph: GraphView, occurrences: Sequence[Occurrence]) -> Pattern:
@@ -481,8 +517,7 @@ class GrowthEngine:
         entries: Dict[str, CandidateEntry] = {}
         for code, occurrences in groups.items():
             deduped = self._dedupe(occurrences)
-            support = occurrence_support(deduped, config.support_measure)
-            if support < config.min_support:
+            if not self.is_frequent(deduped):
                 continue
             info = meta.get(code, {})
             entries[code] = CandidateEntry(
@@ -492,6 +527,18 @@ class GrowthEngine:
                 frontier=set(info.get("frontier", set())) or None,
             )
         return entries
+
+    def is_frequent(self, occurrences: Sequence[Occurrence]) -> bool:
+        """Whether a candidate's occurrences reach ``min_support``.
+
+        The same boolean a full ``occurrence_support`` gives, decided by the
+        cheapest step that can (see :func:`occurrence_support`).
+        """
+        sigma = self.config.min_support
+        support = occurrence_support(
+            occurrences, self.config.support_measure, min_support=sigma
+        )
+        return support >= sigma
 
     def _prune_subsumed(self, entries: Dict[str, CandidateEntry]) -> Dict[str, CandidateEntry]:
         """Drop candidates fully covered by a larger candidate.

@@ -394,9 +394,9 @@ class SpiderMiner:
     def _to_spider(self, candidate: _Candidate) -> Optional[Spider]:
         """Build a :class:`Spider` if the candidate is frequent, else ``None``.
 
-        Frequency goes through the overlap engine's ``is_frequent``: its raw
-        count and distinct-image upper bounds skip the MIS entirely for the
-        many candidates whose embedding lists already fall short.
+        Frequency goes through ``is_frequent``: its raw-count,
+        distinct-image and image-bound steps reject most candidates without
+        a conflict graph, and the MIS that remains stops at ``min_support``.
         """
         embeddings = [Embedding.from_dict(m) for m in candidate.embeddings]
         spider = Spider(

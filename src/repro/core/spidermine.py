@@ -26,10 +26,11 @@ from typing import Dict, List, Optional
 from ..graph.algorithms import diameter as graph_diameter
 from ..graph.view import GraphView
 from ..obs import get_registry, get_tracer
+from ..patterns.overlap import DECISION_SITES, DECISION_STEPS
 from ..patterns.pattern import Pattern
 from ..patterns.spider import Spider
 from .config import SpiderMineConfig
-from .growth import CandidateEntry, GrowthEngine, occurrence_support, occurrences_to_pattern
+from .growth import CandidateEntry, GrowthEngine, occurrences_to_pattern
 from .probability import SeedPlan, plan_seeds
 from .results import MiningResult, MiningStatistics, stage_timer
 from .spider_miner import SpiderMiner, build_spider_index
@@ -165,12 +166,16 @@ class SpiderMine:
                 entries = next_entries
         statistics.num_candidates_generated = engine.candidates_generated
 
-        patterns = self._report(archive)
+        patterns = self._report(archive, engine)
         runtime = time.perf_counter() - start
         registry = get_registry()
         if registry.enabled:
             registry.publish("mine.statistics", statistics)
             registry.counter("mine.runs")
+            # Every decision step is listed, so a step that never fired reads 0.
+            for site in DECISION_SITES:
+                for step in DECISION_STEPS:
+                    registry.counter(f"{site}.decided.{step}", 0)
         return MiningResult(
             algorithm="SpiderMine",
             patterns=patterns,
@@ -213,13 +218,14 @@ class SpiderMine:
     # ------------------------------------------------------------------ #
     # stage III reporting
     # ------------------------------------------------------------------ #
-    def _report(self, archive: Dict[str, CandidateEntry]) -> List[Pattern]:
+    def _report(
+        self, archive: Dict[str, CandidateEntry], engine: GrowthEngine
+    ) -> List[Pattern]:
         """Convert surviving candidates to Pattern objects and keep the top-K."""
         config = self.config
         candidates: List[Pattern] = []
         for entry in archive.values():
-            support = occurrence_support(entry.occurrences, config.support_measure)
-            if support < config.min_support:
+            if not engine.is_frequent(entry.occurrences):
                 continue
             pattern = occurrences_to_pattern(self.graph, entry.occurrences)
             if pattern.num_vertices < config.min_vertices_reported:

@@ -260,6 +260,7 @@ def greedy_maximum_independent_set(
 
 def degeneracy_ordered_independent_set(
     adjacency: Dict[Hashable, Set[Hashable]],
+    stop_at: Optional[int] = None,
 ) -> Set[Hashable]:
     """Greedy independent set along the degeneracy order of the conflict graph.
 
@@ -271,14 +272,21 @@ def degeneracy_ordered_independent_set(
     on the true MIS (safe for anti-monotone support pruning) but a tighter
     one: on a d-degenerate conflict graph it is guaranteed to pick at least
     ``n / (d + 1)`` vertices.  Fully deterministic for a fixed adjacency dict.
+
+    With ``stop_at`` the selection ends after ``stop_at`` picks.  The picks
+    are the first ``stop_at`` of the full run, in the same order, because a
+    pick never depends on the ones after it: the set returned has
+    ``min(stop_at, full size)`` vertices, which answers "is the greedy value
+    at least ``stop_at``?" exactly.
     """
     degree = {v: len(n) for v, n in adjacency.items()}
     remaining = {v: set(n) for v, n in adjacency.items()}
     heap = [(d, repr(v), v) for v, d in degree.items()]
     heapq.heapify(heap)
+    goal = len(heap) if stop_at is None else stop_at
     chosen: Set[Hashable] = set()
     removed: Set[Hashable] = set()
-    while heap:
+    while heap and len(chosen) < goal:
         d, _, v = heapq.heappop(heap)
         if v in removed or d != degree[v]:
             continue  # deleted, or a stale entry (a fresher one is queued)
@@ -299,21 +307,28 @@ def degeneracy_ordered_independent_set(
 def exact_maximum_independent_set(
     adjacency: Dict[Hashable, Set[Hashable]],
     limit: int = 20,
+    stop_at: Optional[int] = None,
 ) -> Set[Hashable]:
     """Exact MIS by branch and bound, for at most ``limit`` vertices.
 
     Raises :class:`ValueError` when the instance is larger than ``limit`` —
     callers fall back to :func:`greedy_maximum_independent_set`.
+
+    With ``stop_at`` the search ends as soon as its best set has ``stop_at``
+    vertices.  The result then has at least ``stop_at`` vertices exactly when
+    the maximum independent set does; below that the search runs to the end
+    and returns a maximum set.
     """
     vertices = list(adjacency)
     if len(vertices) > limit:
         raise ValueError(f"exact MIS limited to {limit} vertices, got {len(vertices)}")
 
     best: Set[Hashable] = set()
+    goal = len(vertices) + 1 if stop_at is None else stop_at
 
     def solve(candidates: List[Hashable], current: Set[Hashable]) -> None:
         nonlocal best
-        if len(current) + len(candidates) <= len(best):
+        if len(best) >= goal or len(current) + len(candidates) <= len(best):
             return
         if not candidates:
             if len(current) > len(best):

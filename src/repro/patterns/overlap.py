@@ -27,6 +27,24 @@ Independent sets are solved exactly (branch and bound) up to
 (:func:`repro.graph.algorithms.degeneracy_ordered_independent_set`) above it
 — a lower bound, hence still safe for anti-monotone pruning.
 
+Mining only asks whether support reaches σ = ``min_support``, so a frequency
+check is a sequence of steps that stops at the first one that decides:
+
+1. raw count and 2. distinct images — the MIS has at most as many nodes as
+   there are (distinct) images;
+3. image bound — disjoint embeddings use pairwise different data vertices
+   (edges) for each pattern vertex (edge), so the least-varied one bounds
+   the MIS (``support.image_bound``, ``growth.occurrence_image_bound``);
+4. σ-stopping MIS (:func:`decide_support`) — both solvers take ``stop_at``:
+   the greedy's first σ picks are those of its full run, and the exact
+   search stops only once σ is proven.
+
+Steps 1–3 bound the exact MIS, and with it the greedy value, from above, and
+step 4 returns ``min(full value, σ)``, so every answer equals the full
+computation's ``support >= σ``.  :func:`record_decision` counts the deciding
+step per check (``<site>.decided.<step>``, see :data:`DECISION_STEPS`) when
+telemetry is on.
+
 Everything that reasons about embedding overlap goes through here: the three
 support measures and witness selection (``patterns/support.py``), occurrence
 support and the CheckMerge overlap scan (``core/growth.py``), and Stage-I
@@ -269,19 +287,73 @@ class EmbeddingIndex:
 # independent sets over conflict graphs
 # ---------------------------------------------------------------------- #
 def max_independent_set(
-    conflict: ConflictGraph, exact_limit: int = DEFAULT_EXACT_LIMIT
+    conflict: ConflictGraph,
+    exact_limit: int = DEFAULT_EXACT_LIMIT,
+    stop_at: Optional[int] = None,
 ) -> Set[int]:
-    """Exact MIS up to ``exact_limit`` nodes, degeneracy-ordered greedy above."""
+    """Exact MIS up to ``exact_limit`` nodes, degeneracy-ordered greedy above.
+
+    ``stop_at`` ends either solver once its set has that many nodes (see
+    :func:`~repro.graph.algorithms.degeneracy_ordered_independent_set` and
+    :func:`~repro.graph.algorithms.exact_maximum_independent_set`).
+    """
     if len(conflict) <= exact_limit:
-        return exact_maximum_independent_set(conflict, limit=exact_limit)
-    return degeneracy_ordered_independent_set(conflict)
+        return exact_maximum_independent_set(conflict, limit=exact_limit, stop_at=stop_at)
+    return degeneracy_ordered_independent_set(conflict, stop_at=stop_at)
 
 
 def independent_set_size(
-    conflict: ConflictGraph, exact_limit: int = DEFAULT_EXACT_LIMIT
+    conflict: ConflictGraph,
+    exact_limit: int = DEFAULT_EXACT_LIMIT,
+    stop_at: Optional[int] = None,
 ) -> int:
     """Size of :func:`max_independent_set` — the MIS-based support value."""
-    return len(max_independent_set(conflict, exact_limit))
+    return len(max_independent_set(conflict, exact_limit, stop_at))
+
+
+# ---------------------------------------------------------------------- #
+# frequency decisions
+# ---------------------------------------------------------------------- #
+#: The steps that can decide a frequency check, cheapest first.  Each check
+#: is counted under exactly one of them, as ``<site>.decided.<step>``.  Only
+#: ``greedy_reject`` may be wrong: the greedy set is a lower bound, so a
+#: pattern it rejects could still have support ``>= min_support``.
+DECISION_STEPS = (
+    "raw_count",
+    "distinct_images",
+    "image_bound",
+    "exact_mis",
+    "greedy_accept",
+    "greedy_reject",
+)
+
+#: Where frequency checks happen: Stage-I ``is_frequent`` on spiders, and
+#: Stage-II/III growth candidates (``occurrence_support`` with a σ).
+DECISION_SITES = ("support", "growth")
+
+
+def record_decision(site: str, step: str) -> None:
+    """Count one frequency check at ``site`` as decided by ``step``."""
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(f"{site}.decided.{step}")
+
+
+def decide_support(
+    conflict: ConflictGraph, min_support: int, exact_limit: int, site: str
+) -> int:
+    """``min(support, min_support)`` with an MIS that stops at ``min_support``.
+
+    The saturated value answers ``support >= min_support`` exactly, and the
+    step that decided it is recorded for ``site``.
+    """
+    size = independent_set_size(conflict, exact_limit, stop_at=min_support)
+    if len(conflict) <= exact_limit:
+        step = "exact_mis"
+    else:
+        step = "greedy_accept" if size >= min_support else "greedy_reject"
+    record_decision(site, step)
+    return min(size, min_support)
 
 
 # ---------------------------------------------------------------------- #

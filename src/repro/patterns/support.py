@@ -22,26 +22,51 @@ fixes, all implemented here:
 
 Conflict graphs are built by the shared overlap engine
 (:mod:`repro.patterns.overlap`): an inverted :class:`EmbeddingIndex` pairs
-only embeddings that actually share a vertex/edge, instead of the O(n²)
-all-pairs intersection scans this module used to run.  Both MIS-based
-measures compute the independent set exactly for small embedding collections
-and fall back to the degeneracy-ordered greedy (a lower bound, hence still
-safe for pruning) above ``exact_limit`` embeddings.
+only embeddings that actually share a vertex/edge.  Both MIS-based measures
+compute the independent set exactly for small embedding collections and fall
+back to the degeneracy-ordered greedy (a lower bound, hence still safe for
+pruning) above ``exact_limit`` embeddings.
+
+Mining only asks whether support reaches σ = ``min_support``, and
+:func:`is_frequent` answers that without computing support.  It runs these
+steps in order and stops at the first that decides:
+
+1. **raw count** — fewer than σ embeddings: no measure can reach σ.
+2. **distinct images** — fewer than σ distinct images under the measure's
+   dedupe key: the MIS runs over that list, so it has at most that many
+   nodes.
+3. **image bound** — for each pattern vertex (harmful overlap) or pattern
+   edge (edge-disjoint), count the distinct data vertices (edges) it maps to,
+   and take the minimum.  Disjoint embeddings map every pattern vertex (edge)
+   to different data vertices (edges), so the MIS is at most this minimum;
+   a minimum below σ rejects.
+4. **σ-stopping MIS** — the conflict graph is built and the solver stops once
+   its set has σ nodes.  The greedy's first σ picks are those of its full
+   run, and the exact solver only stops once σ is proven, so the answer is
+   the same boolean a full computation gives.
+
+Steps 1–3 are upper bounds on the full MIS and hence on the greedy value as
+well, so every answer is the one ``compute_support(...) >= σ`` gives.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
+from operator import itemgetter
 from typing import List, Sequence
 
-from ..graph.labeled_graph import LabeledGraph
+from ..graph.labeled_graph import LabeledGraph, normalise_edge
 from .embedding import Embedding
 from .overlap import (
     DEFAULT_EXACT_LIMIT,
+    ConflictGraph,
     EmbeddingIndex,
+    decide_support,
     distinct_indices,
     independent_set_size,
     max_independent_set,
+    record_decision,
 )
 from .pattern import Pattern
 
@@ -68,6 +93,13 @@ def _distinct_edge_images(
     return [embeddings[i] for i in keep]
 
 
+def _conflict_graph(
+    distinct: Sequence[Embedding], pattern_graph: LabeledGraph, edge_based: bool
+) -> ConflictGraph:
+    index = EmbeddingIndex.from_embeddings(distinct, pattern_graph)
+    return index.conflict_graph(edge_based=edge_based)
+
+
 def _mis_support(
     distinct: Sequence[Embedding],
     pattern_graph: LabeledGraph,
@@ -75,8 +107,32 @@ def _mis_support(
     exact_limit: int,
 ) -> int:
     """MIS size over an already-deduplicated embedding list."""
-    index = EmbeddingIndex.from_embeddings(distinct, pattern_graph)
-    return independent_set_size(index.conflict_graph(edge_based=edge_based), exact_limit)
+    return independent_set_size(
+        _conflict_graph(distinct, pattern_graph, edge_based), exact_limit
+    )
+
+
+def image_bound(
+    embeddings: Sequence[Embedding], pattern_graph: LabeledGraph, edge_based: bool
+) -> int:
+    """Upper bound on the disjoint-embedding MIS: the least-varied image.
+
+    The minimum, over pattern vertices (``edge_based``: pattern edges), of
+    the number of distinct data vertices (data edges) the embeddings map it
+    to.  Pairwise disjoint embeddings map each pattern vertex (edge) to
+    pairwise different data vertices (edges), so no independent set of the
+    conflict graph is larger.
+    """
+    if not embeddings:
+        return 0
+    if edge_based:
+        return min(
+            len({normalise_edge(e[u], e[v]) for e in embeddings})
+            for u, v in pattern_graph.edges()
+        )
+    # Distinct (pattern vertex, data vertex) pairs, counted per pattern vertex.
+    pairs = set().union(*(e.mapping for e in embeddings))
+    return min(Counter(map(itemgetter(0), pairs)).values())
 
 
 def embedding_image_support(embeddings: Sequence[Embedding]) -> int:
@@ -129,6 +185,11 @@ def compute_support(
     raise ValueError(f"unknown support measure {measure!r}")
 
 
+def _decided(step: str, answer: bool) -> bool:
+    record_decision("support", step)
+    return answer
+
+
 def is_frequent(
     pattern: Pattern,
     min_support: int,
@@ -139,34 +200,42 @@ def is_frequent(
 
     A pattern with no embeddings is never frequent, not even for
     ``min_support <= 0`` — every measure assigns it support 0, and support 0
-    means "does not occur".  Beyond that the check short-circuits: the raw
-    embedding count and the measure's distinct-image count are upper bounds on
-    the MIS value, so thresholds they already miss skip the MIS entirely.
+    means "does not occur".  Beyond that the answer equals
+    ``compute_support(pattern, measure, exact_limit) >= min_support``, decided
+    by the cheapest step that can (raw count, distinct images, image bound,
+    σ-stopping MIS; see the module docstring).  With telemetry on, the step
+    is counted as ``support.decided.<step>``.
     """
-    if not pattern.embeddings:
-        return False
+    embeddings = pattern.embeddings
+    if not embeddings:
+        return _decided("raw_count", False)
     if min_support <= 0:
-        return True
-    if len(pattern.embeddings) < min_support:
-        return False
+        return _decided("raw_count", True)
+    if len(embeddings) < min_support:
+        return _decided("raw_count", False)
     if measure is SupportMeasure.EMBEDDING_IMAGES:
-        return embedding_image_support(pattern.embeddings) >= min_support
+        return _decided(
+            "distinct_images", embedding_image_support(embeddings) >= min_support
+        )
     # For MIS measures, dedupe once under the measure's own conflict notion:
     # the distinct count is a cheap upper bound that often skips the MIS, and
-    # the same list feeds the MIS when it does run.
+    # the same list feeds the bound and the MIS when they do run.
     if measure is SupportMeasure.EDGE_DISJOINT and pattern.graph.num_edges > 0:
-        distinct = _distinct_edge_images(pattern.embeddings, pattern.graph)
+        distinct = _distinct_edge_images(embeddings, pattern.graph)
         edge_based = True
     else:
-        distinct = _distinct_images(pattern.embeddings)
+        distinct = _distinct_images(embeddings)
         edge_based = False
         if measure is SupportMeasure.EDGE_DISJOINT:
             # Edgeless pattern: vertex-distinct images are pairwise
             # edge-disjoint, so the distinct count *is* the support.
-            return len(distinct) >= min_support
+            return _decided("distinct_images", len(distinct) >= min_support)
     if len(distinct) < min_support:
-        return False
-    return _mis_support(distinct, pattern.graph, edge_based, exact_limit) >= min_support
+        return _decided("distinct_images", False)
+    if image_bound(distinct, pattern.graph, edge_based) < min_support:
+        return _decided("image_bound", False)
+    conflict = _conflict_graph(distinct, pattern.graph, edge_based)
+    return decide_support(conflict, min_support, exact_limit, "support") >= min_support
 
 
 def select_disjoint_embeddings(
@@ -186,8 +255,7 @@ def select_disjoint_embeddings(
         distinct = _distinct_edge_images(embeddings, pattern_graph)
     else:
         distinct = _distinct_images(embeddings)
-    index = EmbeddingIndex.from_embeddings(distinct, pattern_graph)
-    conflict = index.conflict_graph(edge_based=edge_based)
+    conflict = _conflict_graph(distinct, pattern_graph, edge_based)
     chosen = max_independent_set(conflict, exact_limit)
     return [distinct[i] for i in sorted(chosen)]
 
@@ -199,6 +267,7 @@ __all__ = [
     "edge_disjoint_support",
     "harmful_overlap_support",
     "compute_support",
+    "image_bound",
     "is_frequent",
     "select_disjoint_embeddings",
 ]

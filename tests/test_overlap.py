@@ -17,9 +17,11 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Occurrence, occurrence_support
+from repro.core.growth import occurrence_image_bound
 from repro.graph import (
     LabeledGraph,
     degeneracy_ordered_independent_set,
+    exact_maximum_independent_set,
     greedy_maximum_independent_set,
 )
 from repro.patterns import (
@@ -193,6 +195,63 @@ def test_degeneracy_greedy_is_deterministic(adjacency):
     assert degeneracy_ordered_independent_set(
         adjacency
     ) == degeneracy_ordered_independent_set({v: set(n) for v, n in adjacency.items()})
+
+
+@COMMON_SETTINGS
+@given(adjacency=conflict_graphs(), sigma=st.integers(min_value=0, max_value=13))
+def test_sigma_stopped_greedy_is_a_part_of_the_full_run(adjacency, sigma):
+    full = degeneracy_ordered_independent_set(adjacency)
+    stopped = degeneracy_ordered_independent_set(adjacency, stop_at=sigma)
+    assert len(stopped) == min(sigma, len(full))
+    assert stopped <= full
+
+
+@COMMON_SETTINGS
+@given(adjacency=conflict_graphs(), sigma=st.integers(min_value=0, max_value=13))
+def test_sigma_stopped_exact_mis_decides_like_the_full_search(adjacency, sigma):
+    full = exact_maximum_independent_set(adjacency, limit=12)
+    stopped = exact_maximum_independent_set(adjacency, limit=12, stop_at=sigma)
+    assert (len(stopped) >= sigma) == (len(full) >= sigma)
+    for v in stopped:
+        assert not (adjacency[v] & stopped)
+
+
+def test_sigma_stopped_exact_mis_searches_past_a_smaller_maximal_set():
+    # The include-first branch reaches the maximal set {0} before {1, 2}.
+    wedge = {0: {1, 2}, 1: {0}, 2: {0}}
+    assert exact_maximum_independent_set(wedge, stop_at=2) == {1, 2}
+    assert exact_maximum_independent_set(wedge, stop_at=1) == {0}
+
+
+@COMMON_SETTINGS
+@given(
+    pattern=embedded_patterns(),
+    measure=st.sampled_from(list(SupportMeasure)),
+    sigma=st.integers(min_value=1, max_value=8),
+    exact_limit=st.sampled_from([0, 18]),
+)
+def test_occurrence_support_saturates_at_min_support(pattern, measure, sigma, exact_limit):
+    """With σ the value is σ when support reaches it, an upper bound below."""
+    occurrences = [
+        Occurrence.from_embedding(pattern.graph, e) for e in pattern.embeddings
+    ]
+    full = occurrence_support(occurrences, measure, exact_limit)
+    saturated = occurrence_support(occurrences, measure, exact_limit, min_support=sigma)
+    if full >= sigma:
+        assert saturated == sigma
+    else:
+        assert full <= saturated < sigma
+
+
+@COMMON_SETTINGS
+@given(pattern=embedded_patterns(), edge_based=st.booleans())
+def test_occurrence_image_bound_is_an_upper_bound_on_the_exact_mis(pattern, edge_based):
+    occurrences = [
+        Occurrence.from_embedding(pattern.graph, e) for e in pattern.embeddings
+    ]
+    measure = SupportMeasure.EDGE_DISJOINT if edge_based else SupportMeasure.HARMFUL_OVERLAP
+    exact = occurrence_support(occurrences, measure, exact_limit=20)
+    assert exact <= occurrence_image_bound(occurrences, edge_based)
 
 
 def test_degeneracy_greedy_beats_static_greedy_on_a_skewed_instance():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph import LabeledGraph
 from repro.patterns import (
@@ -16,7 +17,11 @@ from repro.patterns import (
     is_frequent,
     select_disjoint_embeddings,
 )
+from repro.patterns import overlap
+from repro.patterns.support import image_bound
 from tests.conftest import build_path
+
+MIS_MEASURES = [SupportMeasure.HARMFUL_OVERLAP, SupportMeasure.EDGE_DISJOINT]
 
 
 def chain_graph(length: int, label: str = "A") -> LabeledGraph:
@@ -186,3 +191,95 @@ class TestDisjointSelection:
     def test_select_empty(self):
         pattern = edge_pattern()
         assert select_disjoint_embeddings([], pattern.graph) == []
+
+
+# --------------------------------------------------------------------------- #
+# deciding frequency == thresholding the full support
+# --------------------------------------------------------------------------- #
+@st.composite
+def embedded_patterns(draw):
+    """A small graph (optionally with a hub on vertex 0) and a path/star pattern."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    graph = LabeledGraph()
+    for i in range(n):
+        graph.add_vertex(i, draw(st.sampled_from("AB")))
+    hub = draw(st.booleans())
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (hub and i == 0) or draw(st.booleans()):
+                graph.add_edge(i, j)
+    star = draw(st.booleans())
+    pattern_graph = LabeledGraph()
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        pattern_graph.add_vertex(i, draw(st.sampled_from("AB")))
+        if i:
+            pattern_graph.add_edge(0 if star else i - 1, i)
+    pattern = Pattern(graph=pattern_graph)
+    pattern.recompute_embeddings(graph, limit=60)
+    return pattern
+
+
+def _edge_based(pattern: Pattern, measure: SupportMeasure) -> bool:
+    return measure is SupportMeasure.EDGE_DISJOINT and pattern.graph.num_edges > 0
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    pattern=embedded_patterns(),
+    measure=st.sampled_from(MIS_MEASURES),
+    exact_limit=st.sampled_from([0, 4, 18]),
+    data=st.data(),
+)
+def test_is_frequent_equals_full_support_at_threshold(pattern, measure, exact_limit, data):
+    """Every decision step gives the boolean the full support computation gives.
+
+    σ is drawn around the image bound, the distinct-image count and the
+    support itself, where an off-by-one in any step would show; small
+    ``exact_limit`` values push the decision onto the greedy path.
+    """
+    support = compute_support(pattern, measure, exact_limit)
+    edge_based = _edge_based(pattern, measure)
+    if edge_based:
+        distinct = len({e.edge_image(pattern.graph) for e in pattern.embeddings})
+    else:
+        distinct = embedding_image_support(pattern.embeddings)
+    bound = image_bound(pattern.embeddings, pattern.graph, edge_based)
+    near = {1, support, support + 1}
+    for value in (bound, distinct):
+        near |= {value - 1, value, value + 1}
+    sigma = data.draw(st.sampled_from(sorted(v for v in near if v >= 1)), label="sigma")
+    assert is_frequent(pattern, sigma, measure, exact_limit) == (support >= sigma)
+
+
+@PROPERTY_SETTINGS
+@given(pattern=embedded_patterns(), measure=st.sampled_from(MIS_MEASURES))
+def test_image_bound_is_an_upper_bound_on_the_exact_mis(pattern, measure):
+    exact = compute_support(pattern, measure, exact_limit=20)
+    assert exact <= image_bound(pattern.embeddings, pattern.graph, _edge_based(pattern, measure))
+
+
+def test_image_bound_rejects_a_hub_without_building_the_conflict_graph(monkeypatch):
+    """A star around one hub: many distinct images, but every one uses the hub."""
+    graph = LabeledGraph()
+    graph.add_vertex("hub", "A")
+    for i in range(30):
+        graph.add_vertex(i, "B")
+        graph.add_edge("hub", i)
+    pattern = Pattern(graph=build_path(["A", "B"]))
+    pattern.recompute_embeddings(graph)
+    assert embedding_image_support(pattern.embeddings) == 30
+    assert image_bound(pattern.embeddings, pattern.graph, edge_based=False) == 1
+
+    def no_conflict_graph(self, edge_based=False):
+        raise AssertionError("the image bound should have decided")
+
+    monkeypatch.setattr(overlap.EmbeddingIndex, "conflict_graph", no_conflict_graph)
+    assert not is_frequent(pattern, 2)
+    # Edge-disjoint: the 30 spokes are distinct edges, so the bound passes.
+    monkeypatch.undo()
+    assert is_frequent(pattern, 30, measure=SupportMeasure.EDGE_DISJOINT)
