@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..graph.canonical import canonical_code
+from ..graph.canonical import canonical_labelling
 from ..graph.isomorphism import SubgraphMatcher
 from ..graph.labeled_graph import LabeledGraph, Vertex, normalise_edge
 from ..graph.view import GraphView
@@ -109,13 +109,17 @@ class CandidateEntry:
 
 
 def occurrence_code(data_graph: GraphView, occurrence: Occurrence) -> str:
-    """Canonical code of the pattern an occurrence realises."""
-    sub = LabeledGraph()
-    for v in occurrence.vertices:
-        sub.add_vertex(v, data_graph.label(v))
+    """Canonical code of the pattern an occurrence realises.
+
+    Equal to ``canonical_code(occurrence_subgraph(data_graph, occurrence))``
+    without building that subgraph.
+    """
+    labels = {v: data_graph.label(v) for v in occurrence.vertices}
+    neighbors: Dict[Vertex, List[Vertex]] = {v: [] for v in labels}
     for u, v in occurrence.edges:
-        sub.add_edge(u, v)
-    return canonical_code(sub)
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return canonical_labelling(labels, neighbors)[1]
 
 
 def occurrence_subgraph(data_graph: GraphView, occurrence: Occurrence) -> LabeledGraph:

@@ -10,8 +10,10 @@ so by construction every generated pattern is an r-spider (Definition 4) and
 I "knows all the frequent patterns up to a diameter 2r with all their
 embeddings", as the paper requires.
 
-Candidates are deduplicated with head-distinguished canonical codes; support
-is computed with the configured single-graph measure.
+Candidates are deduplicated with head-distinguished canonical codes, and the
+embeddings of equal-code candidates are unioned after realigning them through
+their canonical orders; support is computed with the configured single-graph
+measure.
 
 Mining units
 ------------
@@ -34,12 +36,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from ..graph.isomorphism import SubgraphMatcher
 from ..graph.labeled_graph import LabeledGraph, Vertex
 from ..graph.view import GraphView
 from ..obs import get_registry, get_tracer
 from ..patterns.embedding import Embedding
-from ..patterns.spider import Spider, head_distinguished_code
+from ..patterns.spider import Spider, head_distinguished_labelling
 from ..patterns.support import SupportMeasure, is_frequent
 from .config import SpiderMineConfig
 
@@ -220,7 +221,8 @@ class SpiderMiner:
         # falls short — level 0 has always seeded extensions unconditionally.
         frontier = [root]
         while frontier and len(mined) < config.max_spiders:
-            next_by_code: Dict[str, _Candidate] = {}
+            # code -> (first candidate with that code, its canonical order)
+            next_by_code: Dict[str, Tuple[_Candidate, List[int]]] = {}
             for candidate in frontier:
                 at_size_cap = candidate.graph.num_vertices >= config.max_spider_size
                 # At the vertex cap, closing edges (which add no vertex) are
@@ -231,17 +233,18 @@ class SpiderMiner:
                     else self._extensions(candidate)
                 )
                 for extended in extensions:
-                    code = head_distinguished_code(extended.graph, _HEAD)
+                    order, code = head_distinguished_labelling(extended.graph, _HEAD)
                     if code in mined:
                         continue
                     existing = next_by_code.get(code)
                     if existing is None:
-                        next_by_code[code] = extended
+                        next_by_code[code] = (extended, order)
                     else:
-                        self._merge_embeddings(existing, extended)
+                        target, target_order = existing
+                        self._merge_embeddings(target, target_order, extended, order)
             frontier = []
             bucket: List[Spider] = []
-            for code, candidate in next_by_code.items():
+            for code, (candidate, _order) in next_by_code.items():
                 spider = self._to_spider(candidate)
                 if spider is None:
                     continue
@@ -356,33 +359,37 @@ class SpiderMiner:
             return mappings
         return mappings[:cap]
 
-    def _merge_embeddings(self, target: _Candidate, extra: _Candidate) -> None:
+    def _merge_embeddings(
+        self,
+        target: _Candidate,
+        target_order: List[int],
+        extra: _Candidate,
+        extra_order: List[int],
+    ) -> None:
         """Union the embedding lists of two candidates for the same spider code.
 
         Candidates reached through different growth orders can name their
         pattern vertices differently even though the codes agree, so the extra
-        embeddings are realigned through one head-preserving isomorphism
-        before being unioned.  The anchored search runs in BFS order rooted at
-        the head (the matcher's anchored-order contract), so it never degrades
-        to label-scan candidate pools on these connected spider graphs.
+        embeddings are realigned before being unioned.  The realignment is the
+        composition of the two canonical orders, ``extra_order[i] ->
+        target_order[i]``: equal head-distinguished codes make it an
+        isomorphism of the head-tagged graphs, so no isomorphism search is
+        needed.  It maps head to head unless a data label already carries the
+        head tag; then it can map the head elsewhere, and the extra embeddings
+        are dropped rather than misaligned (the matcher dropped them too when
+        it found no head-preserving isomorphism).
 
-        *Which* head-preserving isomorphism is found first does not matter
+        *Which* head-preserving isomorphism is used does not matter
         downstream: two choices differ by an automorphism fixing the head, so
         the realigned embeddings have identical (head image, vertex image,
         edge image) triples — the dedup key here and everything Stage II/III
         reads (occurrence images, the head index).  Only the literal mapping
-        dicts differ, which reach nothing but the version-fenced spiders
-        cache payload; mining result digests were verified bit-identical
-        across the 1.5.0 anchored-order change on merge-heavy runs.
+        dicts can differ, and they reach nothing but the version-fenced
+        spiders cache payload; mining result digests are unchanged.
         """
-        if extra.graph == target.graph:
-            rename = {v: v for v in extra.graph.vertices()}
-        else:
-            matcher = SubgraphMatcher(extra.graph, target.graph, induced=True)
-            found = matcher.find_embeddings(limit=1, anchor=(_HEAD, _HEAD))
-            if not found:
-                return
-            rename = found[0]
+        rename = dict(zip(extra_order, target_order))
+        if rename[_HEAD] != _HEAD:
+            return
         seen = {(m[_HEAD], frozenset(m.values())) for m in target.embeddings}
         for mapping in extra.embeddings:
             remapped = {rename[p]: g for p, g in mapping.items()}
@@ -399,8 +406,11 @@ class SpiderMiner:
         a conflict graph, and the MIS that remains stops at ``min_support``.
         """
         embeddings = [Embedding.from_dict(m) for m in candidate.embeddings]
+        # No copy: a candidate's graph is never mutated (extensions copy it),
+        # and sharing it lets the neighbour cache the spider's radius check
+        # fills be inherited by the extensions' copies.
         spider = Spider(
-            graph=candidate.graph.copy(),
+            graph=candidate.graph,
             embeddings=embeddings,
             head=_HEAD,
             radius=self.config.radius,

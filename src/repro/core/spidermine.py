@@ -30,7 +30,7 @@ from ..patterns.overlap import DECISION_SITES, DECISION_STEPS
 from ..patterns.pattern import Pattern
 from ..patterns.spider import Spider
 from .config import SpiderMineConfig
-from .growth import CandidateEntry, GrowthEngine, occurrences_to_pattern
+from .growth import CandidateEntry, GrowthEngine, occurrence_subgraph, occurrences_to_pattern
 from .probability import SeedPlan, plan_seeds
 from .results import MiningResult, MiningStatistics, stage_timer
 from .spider_miner import SpiderMiner, build_spider_index
@@ -221,20 +221,32 @@ class SpiderMine:
     def _report(
         self, archive: Dict[str, CandidateEntry], engine: GrowthEngine
     ) -> List[Pattern]:
-        """Convert surviving candidates to Pattern objects and keep the top-K."""
+        """The top-K surviving candidates as Pattern objects.
+
+        Entries are ranked by ``(|V|, |E|, code)`` — the size of a pattern is
+        the size of any of its occurrences — and walked largest first, so only
+        the at most K reported entries are converted to :class:`Pattern`.
+        """
         config = self.config
-        candidates: List[Pattern] = []
-        for entry in archive.values():
+        # An entry without occurrences is never frequent (min_support >= 1).
+        ranked = sorted(
+            (entry for entry in archive.values() if entry.occurrences),
+            key=lambda e: (e.occurrences[0].num_vertices, e.occurrences[0].num_edges, e.code),
+            reverse=True,
+        )
+        patterns: List[Pattern] = []
+        for entry in ranked:
+            if len(patterns) >= config.k:
+                break
+            if entry.occurrences[0].num_vertices < config.min_vertices_reported:
+                continue
             if not engine.is_frequent(entry.occurrences):
                 continue
-            pattern = occurrences_to_pattern(self.graph, entry.occurrences)
-            if pattern.num_vertices < config.min_vertices_reported:
+            first = occurrence_subgraph(self.graph, entry.occurrences[0])
+            if graph_diameter(first) > config.d_max:
                 continue
-            if graph_diameter(pattern.graph) > config.d_max:
-                continue
-            candidates.append(pattern)
-        candidates.sort(key=lambda p: (p.num_vertices, p.num_edges, p.code), reverse=True)
-        return candidates[: config.k]
+            patterns.append(occurrences_to_pattern(self.graph, entry.occurrences))
+        return patterns
 
 
 def mine_top_k_patterns(

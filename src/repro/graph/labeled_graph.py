@@ -14,7 +14,20 @@ impossible by construction (adjacency sets).
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 Vertex = Hashable
 Label = Hashable
@@ -240,6 +253,15 @@ class LabeledGraph:
             cached = frozenset(sorted(adjacent, key=repr))
             self._neighbor_cache[vertex] = cached
         return cached
+
+    def adjacency(self) -> Mapping[Vertex, AbstractSet[Vertex]]:
+        """A read-only live view: vertex -> its adjacent vertices, in vertex order.
+
+        No copy and no per-vertex sorting, for whole-graph passes that do not
+        depend on neighbour iteration order (canonical labelling).  Callers
+        must not mutate the sets.
+        """
+        return MappingProxyType(self._adj)
 
     def degree(self, vertex: Vertex) -> int:
         try:

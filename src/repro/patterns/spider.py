@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Counter as CounterType, Dict, List, Optional, Tuple
 
 from ..graph.algorithms import bfs_distances, is_r_bounded_from
-from ..graph.canonical import canonical_code
+from ..graph.canonical import canonical_labelling
 from ..graph.isomorphism import SubgraphMatcher, embedding_edge_image
 from ..graph.labeled_graph import LabeledGraph, Vertex
 from ..graph.view import GraphView
@@ -127,21 +127,25 @@ class Spider(Pattern):
         )
 
 
-def head_distinguished_code(graph: LabeledGraph, head: Vertex) -> str:
-    """Canonical code of ``graph`` with ``head``'s label tagged.
+def head_distinguished_labelling(
+    graph: LabeledGraph, head: Vertex
+) -> Tuple[List[Vertex], str]:
+    """Canonical (order, code) of ``graph`` with ``head``'s label tagged.
 
     Isomorphic spiders whose isomorphism maps head to head — and only those —
-    receive equal codes.
+    receive equal codes.  For two spiders with equal codes, pairing their
+    orders position by position is such an isomorphism: the tagged head label
+    occurs once (no data label carries the tag), so the pairing maps head to
+    head.
     """
-    tagged = LabeledGraph()
-    for v in graph.vertices():
-        label = graph.label(v)
-        if v == head:
-            label = f"{label}{_HEAD_TAG}"
-        tagged.add_vertex(v, label)
-    for u, v in graph.edges():
-        tagged.add_edge(u, v)
-    return canonical_code(tagged)
+    labels = graph.labels()
+    labels[head] = f"{labels[head]}{_HEAD_TAG}"
+    return canonical_labelling(labels, graph.adjacency())
+
+
+def head_distinguished_code(graph: LabeledGraph, head: Vertex) -> str:
+    """Canonical code of ``graph`` with ``head``'s label tagged."""
+    return head_distinguished_labelling(graph, head)[1]
 
 
 def extract_spider(
