@@ -40,7 +40,8 @@ from ..graph.labeled_graph import LabeledGraph, Vertex
 from ..graph.view import GraphView
 from ..obs import get_registry, get_tracer
 from ..patterns.embedding import Embedding
-from ..patterns.spider import Spider, head_distinguished_labelling
+from ..graph.canonical import canonical_labelling
+from ..patterns.spider import Spider, head_distinguished_labelling, head_tagged_labels
 from ..patterns.support import SupportMeasure, is_frequent
 from .config import SpiderMineConfig
 
@@ -374,10 +375,12 @@ class SpiderMiner:
         composition of the two canonical orders, ``extra_order[i] ->
         target_order[i]``: equal head-distinguished codes make it an
         isomorphism of the head-tagged graphs, so no isomorphism search is
-        needed.  It maps head to head unless a data label already carries the
-        head tag; then it can map the head elsewhere, and the extra embeddings
-        are dropped rather than misaligned (the matcher dropped them too when
-        it found no head-preserving isomorphism).
+        needed.  It maps head to head unless a data label already ends in the
+        head tag; if it moves the head, it is composed with an automorphism
+        of the target that maps the head's image back to the head, and when
+        no such automorphism exists the extra embeddings are dropped.  So
+        they are kept exactly when a head-preserving isomorphism exists, as
+        with the anchored matcher search this replaced.
 
         *Which* head-preserving isomorphism is used does not matter
         downstream: two choices differ by an automorphism fixing the head, so
@@ -389,7 +392,10 @@ class SpiderMiner:
         """
         rename = dict(zip(extra_order, target_order))
         if rename[_HEAD] != _HEAD:
-            return
+            automorphism = _automorphism_onto_head(target.graph, rename[_HEAD])
+            if automorphism is None:
+                return
+            rename = {p: automorphism[q] for p, q in rename.items()}
         seen = {(m[_HEAD], frozenset(m.values())) for m in target.embeddings}
         for mapping in extra.embeddings:
             remapped = {rename[p]: g for p, g in mapping.items()}
@@ -420,6 +426,28 @@ class SpiderMiner:
         ):
             return None
         return spider
+
+
+def _automorphism_onto_head(graph: LabeledGraph, vertex: int) -> Optional[Dict[int, int]]:
+    """An automorphism of head-tagged ``graph`` mapping ``vertex`` to the head.
+
+    ``None`` if no such automorphism exists.  ``vertex`` and the head are
+    each pinned in turn with a label whose ``repr`` is longer than any other,
+    so the pin occurs once; if the two pinned codes are equal, pairing their
+    orders position by position is an automorphism that maps one pin onto
+    the other.
+    """
+    labels = head_tagged_labels(graph, _HEAD)
+    pin = "★" * (1 + max(len(repr(label)) for label in labels.values()))
+    labellings = []
+    for pinned in (vertex, _HEAD):
+        pinned_labels = dict(labels)
+        pinned_labels[pinned] = pin
+        labellings.append(canonical_labelling(pinned_labels, graph.adjacency()))
+    (vertex_order, vertex_code), (head_order, head_code) = labellings
+    if vertex_code != head_code:
+        return None
+    return dict(zip(vertex_order, head_order))
 
 
 def merge_unit_levels(

@@ -19,10 +19,10 @@ exact.  The algorithm:
 One engine, :func:`canonical_labelling`, runs that search over a label dict
 and a neighbour map and returns both the canonical vertex order and the code.
 It works in vertex-index space: adjacency and label ``repr``s are computed
-once per graph, search leaves are compared through integer keys (label ranks
-plus the upper-triangle adjacency bits read as one integer) that order them
-exactly as their code strings would, and the code string is built once, for
-the winning order.  Codes are byte-identical to comparing code strings at
+once per graph, search leaves are compared through keys (the joined label
+string plus the upper-triangle adjacency bits read as one integer) that order
+them exactly as their code strings would, and the code string is built once,
+for the winning order.  Codes are byte-identical to comparing code strings at
 every leaf — they feed result digests and the top-K tie-break.
 
 :func:`canonical_code` is used as a dict key everywhere patterns are
@@ -83,22 +83,14 @@ def _individualise(
 ) -> List[int]:
     """The best leaf order below a stable, non-discrete colouring.
 
-    Leaves are compared by integer keys that order them exactly as their
-    code strings do.  The label parts of two leaves are permutations of one
-    repr multiset, so they have equal length and compare at the first
-    differing label: ranking labels by ``repr + ","`` orders them as the
-    joined strings do, unless a repr contains a comma (then one repr may
-    continue another across the separator, and the joined string is the
-    key).  The edge rows have fixed lengths, so their bits, read row by row
-    as one integer, compare like the row strings.  Ties keep the first leaf.
+    Leaves are compared by keys that order them exactly as their code
+    strings do: the joined label string, which is the code's label part, and
+    the upper-triangle edge bits read row by row as one integer.  The label
+    parts of two leaves are permutations of one repr multiset, so they have
+    equal length, and the edge rows have fixed lengths, so comparing the pair
+    compares the codes.  Ties keep the first leaf.
     """
     n = len(vertices)
-    if any("," in r for r in label_reprs):
-        label_ranks = None
-    else:
-        ordered = sorted(set(label_reprs), key=lambda r: r + ",")
-        rank = {r: i for i, r in enumerate(ordered)}
-        label_ranks = [rank[r] for r in label_reprs]
     bits = n * (n - 1) // 2
     # The bit of upper-triangle pair (i, j), i < j, is ``1 << (base[i] - j)``.
     base = [bits - i * n + i * (i + 3) // 2 for i in range(n)]
@@ -111,10 +103,7 @@ def _individualise(
     def leaf(colors: List[int]) -> None:
         nonlocal best_key, best_order
         order = _discrete_order(colors)
-        if label_ranks is None:
-            label_key = ",".join([label_reprs[i] for i in order])
-        else:
-            label_key = tuple([label_ranks[i] for i in order])
+        label_key = ",".join([label_reprs[i] for i in order])
         edge_key = 0
         for a, b in edges:
             i, j = colors[a], colors[b]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Counter as CounterType, Dict, List, Optional, Tuple
+from typing import Counter as CounterType, Dict, Hashable, List, Optional, Tuple
 
 from ..graph.algorithms import bfs_distances, is_r_bounded_from
 from ..graph.canonical import canonical_labelling
@@ -134,13 +134,18 @@ def head_distinguished_labelling(
 
     Isomorphic spiders whose isomorphism maps head to head — and only those —
     receive equal codes.  For two spiders with equal codes, pairing their
-    orders position by position is such an isomorphism: the tagged head label
-    occurs once (no data label carries the tag), so the pairing maps head to
-    head.
+    orders position by position is an isomorphism of the tagged graphs; it
+    maps head to head unless a data label already ends in the tag, so that
+    the tagged head label occurs more than once.
     """
+    return canonical_labelling(head_tagged_labels(graph, head), graph.adjacency())
+
+
+def head_tagged_labels(graph: LabeledGraph, head: Vertex) -> Dict[Vertex, Hashable]:
+    """``graph``'s labels in vertex order, with ``head``'s label tagged."""
     labels = graph.labels()
     labels[head] = f"{labels[head]}{_HEAD_TAG}"
-    return canonical_labelling(labels, graph.adjacency())
+    return labels
 
 
 def head_distinguished_code(graph: LabeledGraph, head: Vertex) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.core.spider_miner as spider_miner
 import repro.graph.isomorphism as isomorphism
@@ -27,10 +27,10 @@ _HEAD = 0
 
 
 @st.composite
-def spiders(draw):
+def spiders(draw, label_sets=(["A"], ["A", "B"], [1, 12])):
     """A connected labeled graph with head 0: every vertex hangs off an earlier one."""
     n = draw(st.integers(min_value=1, max_value=8))
-    labels = draw(st.sampled_from([["A"], ["A", "B"], [1, 12]]))
+    labels = draw(st.sampled_from(label_sets))
     graph = LabeledGraph()
     for v in range(n):
         graph.add_vertex(v, draw(st.sampled_from(labels)))
@@ -209,6 +209,86 @@ def test_merge_renames_extra_vertices_onto_the_target():
         {0: 10, 1: 11, 2: 12, 3: 13},
         {0: 20, 1: 21, 2: 22, 3: 23},
     ]
+
+
+def _image_triples(candidate):
+    edges = list(candidate.graph.edges())
+    return [
+        (
+            m[_HEAD],
+            frozenset(m.values()),
+            frozenset(frozenset((m[u], m[v])) for u, v in edges),
+        )
+        for m in candidate.embeddings
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spiders(label_sets=(["a", "a★"],)), st.data())
+def test_merge_keeps_extra_embeddings_exactly_when_the_matcher_did(graph, data):
+    # The extra spider is the target graph headed at another vertex w whose
+    # data label is the tagged head label: the two labels are swapped, so
+    # both tag to one graph and share a code.  A head-preserving isomorphism
+    # exists exactly when an automorphism maps w onto the head; the order
+    # pairing may move the head either way.
+    tagged = f"{graph.label(_HEAD)}★"
+    others = [v for v in graph.vertices() if v != _HEAD and graph.label(v) == tagged]
+    assume(others)
+    w = data.draw(st.sampled_from(others))
+    names = data.draw(st.permutations([v for v in graph.vertices() if v != w]))
+    relabel = {w: _HEAD, **{v: i + 1 for i, v in enumerate(names)}}
+    extra_graph = LabeledGraph()
+    for v in data.draw(st.permutations(list(graph.vertices()))):
+        label = graph.label(_HEAD) if v == w else tagged if v == _HEAD else graph.label(v)
+        extra_graph.add_vertex(relabel[v], label)
+    for u, v in graph.edges():
+        extra_graph.add_edge(relabel[u], relabel[v])
+
+    def candidates():
+        target = spider_miner._Candidate(
+            graph=graph, depth={}, embeddings=[{v: ("t", v) for v in graph.vertices()}]
+        )
+        extra = spider_miner._Candidate(
+            graph=extra_graph,
+            depth={},
+            embeddings=[{p: ("x", v) for v, p in relabel.items()}],
+        )
+        return target, extra
+
+    target_order, target_code = head_distinguished_labelling(graph, _HEAD)
+    extra_order, extra_code = head_distinguished_labelling(extra_graph, _HEAD)
+    assert extra_code == target_code
+    config = SpiderMineConfig(min_support=1)
+    merged, extra = candidates()
+    SpiderMiner(LabeledGraph(), config)._merge_embeddings(
+        merged, target_order, extra, extra_order
+    )
+    reference, extra = candidates()
+    MatcherRealignedMiner(LabeledGraph(), config)._merge_embeddings(
+        reference, target_order, extra, extra_order
+    )
+    assert _image_triples(merged) == _image_triples(reference)
+
+
+def test_a_head_moving_pairing_is_composed_with_an_automorphism():
+    # b-a-a★-b headed at the a: tagged, the path reads b-a★-a★-b and its
+    # reflection swaps the head with the a★ vertex.  Composing the target's
+    # canonical order with that reflection gives an order with the same code
+    # whose pairing moves the head; the merge must still realign head to head.
+    graph = LabeledGraph()
+    for v, label in [(2, "b"), (0, "a"), (1, "a★"), (3, "b")]:
+        graph.add_vertex(v, label)
+    for u, v in [(2, 0), (0, 1), (1, 3)]:
+        graph.add_edge(u, v)
+    order, _code = head_distinguished_labelling(graph, _HEAD)
+    reflection = {0: 1, 1: 0, 2: 3, 3: 2}
+    target = spider_miner._Candidate(graph=graph, depth={}, embeddings=[])
+    extra = spider_miner._Candidate(
+        graph=graph, depth={}, embeddings=[{0: 10, 1: 11, 2: 12, 3: 13}]
+    )
+    miner = SpiderMiner(LabeledGraph(), SpiderMineConfig(min_support=1))
+    miner._merge_embeddings(target, [reflection[v] for v in order], extra, order)
+    assert target.embeddings == [{0: 10, 1: 11, 2: 12, 3: 13}]
 
 
 def test_a_data_label_carrying_the_head_tag_never_misaligns_the_head():
